@@ -170,7 +170,6 @@ def collect_absint(n_bytes: int) -> dict:
     observed volume comparison (cost-model error)."""
     from repro.compiler.cost import StaticCosts
     from repro.obs import MetricsRegistry
-    from repro.obs.metrics import ObservedCosts
 
     files = make_files(n_bytes)
     scripts = dict(SCRIPTS)
@@ -190,7 +189,6 @@ def collect_absint(n_bytes: int) -> dict:
         result = shell.run(script)
         assert result.status == 0, (name, result.err)
         metrics.finish(shell.kernel.now)
-        observed = ObservedCosts.from_registry(metrics)
         static = StaticCosts.from_analysis(analysis)
         # cost-model error: the certificate's first-stage volume bound
         # vs the bytes the metrics plane actually saw that command read.
@@ -202,8 +200,8 @@ def collect_absint(n_bytes: int) -> dict:
             if cert.kind != "region" or not cert.stage_bytes:
                 continue
             cmd, static_bytes = cert.stage_bytes[0]
-            observed_bytes = (observed.bytes_seen.get(cmd, 0.0)
-                              if observed is not None else 0.0)
+            observed_bytes = (metrics.value("proc.read_bytes", proc=cmd)
+                              + metrics.value("proc.disk_bytes", proc=cmd))
             if observed_bytes > 0 and static_bytes > 0:
                 comparisons.append({
                     "command": cmd, "static": static_bytes,

@@ -31,7 +31,7 @@ Outputs (see :class:`AbsintResult`):
   takes the runtime purity walk, reaching the identical decision.
 * **cost certificates** — signed quantitative bounds (loop trip counts,
   region byte volumes) extending the S16 safety certificates; the
-  static complement of the S19 ``ObservedCosts`` profile feedback.
+  static complement of the S19 metrics plane's per-command byte counts.
 * **findings** — the JS4xxx ``jash check`` diagnostics (unreachable
   code, constant guards, infinite loops, provably-unset reads under
   ``set -u``, dead ``&&``/``||`` arms, empty loop word lists).

@@ -22,6 +22,7 @@ import argparse
 import sys
 
 from .bench.runners import make_engine
+from .parser import ShellSyntaxError
 from .shell import Shell
 from .vos.machines import PROFILES, profile
 
@@ -31,6 +32,10 @@ def main(argv=None) -> int:
         return _main(argv)
     except BrokenPipeError:
         return 141  # stdout consumer went away (e.g. `jash ... | head`)
+    except ShellSyntaxError as err:
+        where = f"line {err.line}: " if err.line > 0 else ""
+        print(f"jash: {where}syntax error: {err}", file=sys.stderr)
+        return 2
 
 
 def _main(argv=None) -> int:

@@ -87,12 +87,6 @@ class JashConfig:
     transactional: bool = True
     #: per-width retry policy for transactional execution
     retry: RetryPolicy = DEFAULT_REGION_POLICY
-    #: feed measured per-command costs from the kernel's metrics
-    #: registry (repro.obs.metrics) into the cost model in place of the
-    #: static estimates.  Off by default; with the flag off — or on but
-    #: with no registry installed — every decision is bit-identical to
-    #: the estimate-only engine (test-enforced).
-    profile_feedback: bool = False
     #: run the S20 abstract interpreter (repro.analysis.absint) inside
     #: ``compile_program``: dead regions get no certificate (they never
     #: run; a wrong fact just means a cert miss and the identical
@@ -103,8 +97,7 @@ class JashConfig:
     #: consult static CostCertificate volume bounds (the analyzer must
     #: have seen the filesystem) as the cost model's input-size fallback
     #: when a region's input is not file-backed.  Off by default: any
-    #: flag that can change a decision ships dark, like
-    #: ``profile_feedback``.
+    #: flag that can change a decision ships dark.
     static_cost_hints: bool = False
 
 
@@ -270,14 +263,7 @@ class JashOptimizer:
             self._skip(text, "input below optimization threshold",
                        tracer=tracer, proc=proc)
             return None
-        observed = None
-        if self.config.profile_feedback:
-            from ..obs.metrics import ObservedCosts
-
-            observed = ObservedCosts.from_registry(
-                getattr(kernel, "metrics", None))
-        probe = probe_machine(proc, input_bytes, avg_line, avg_token,
-                              observed=observed)
+        probe = probe_machine(proc, input_bytes, avg_line, avg_token)
         # the pre-screen passed: pay for a full compilation
         yield from proc.cpu(self.config.compile_cost_s)
 
@@ -291,14 +277,12 @@ class JashOptimizer:
                 decision="optimized" if decision.transformed
                 else "declined").inc()
         if tracer is not None:
-            extra = {"feedback": True} if observed is not None else {}
             tracer.span("jit", "jit.compile", compile_start, kernel.now, proc,
                         command=text, transformed=decision.transformed,
                         width=decision.plan.width if decision.transformed else 1,
                         input_bytes=input_bytes, reason=decision.reason,
                         estimate_s=round(decision.estimate.seconds, 6),
-                        baseline_s=round(decision.baseline.seconds, 6),
-                        **extra)
+                        baseline_s=round(decision.baseline.seconds, 6))
         if not decision.transformed:
             self._skip(text, decision.reason,
                        baseline=decision.baseline.seconds,

@@ -24,20 +24,13 @@ _SAMPLE_BYTES = 64 * 1024
 
 def probe_machine(proc: Process, input_bytes: int,
                   avg_line_bytes: float = DEFAULT_AVG_LINE,
-                  avg_token_bytes: float = 8.0,
-                  observed=None) -> Probe:
-    """``observed`` is a repro.obs.metrics.ObservedCosts built from the
-    kernel's metrics registry — measured per-command CPU coefficients
-    and dispatch rates the cost model prefers over its static table.
-    None (the default, and always when ``profile_feedback`` is off)
-    keeps the estimates bit-identical to the static model."""
+                  avg_token_bytes: float = 8.0) -> Probe:
     node = proc.node
     kernel = proc.kernel
     disk = node.disk
     disk._refill(kernel.now)
     runnable = sum(len(n.cpu_active) for n in kernel.nodes.values())
     return Probe(
-        observed=observed,
         cores=node.cores,
         cpu_speed=node.cpu_speed,
         disk=DiskProbe(

@@ -4,7 +4,9 @@ The observability layer the Jash proposal presumes: a typed
 :class:`Tracer` threaded through the kernel, the JIT/AOT engines, the
 transactional executor, and the distributed shell; per-process and
 per-region :class:`ResourceAccounting`; Chrome ``trace_event`` export
-(Perfetto-viewable); and a plain-text critical-path report.
+(Perfetto-viewable); and a plain-text critical-path report.  The
+kernel events the tracer and the :class:`MetricsRegistry` share are
+listed once, in :class:`KernelObserver` (:mod:`repro.obs.hooks`).
 
 ::
 
@@ -28,9 +30,9 @@ from .export import (
     dumps_chrome,
     validate_chrome_trace,
 )
+from .hooks import KernelObserver
 from .metrics import (
     MetricsRegistry,
-    ObservedCosts,
     dump_snapshot,
     dumps_snapshot,
     render_prometheus,
@@ -43,6 +45,6 @@ __all__ = [
     "ProcStats", "PipeStats", "RegionStats", "Hop", "critical_path",
     "render_report", "chrome_events", "chrome_trace", "dump_chrome",
     "dumps_chrome", "validate_chrome_trace", "MetricsRegistry",
-    "ObservedCosts", "dump_snapshot", "dumps_snapshot",
-    "render_prometheus", "render_stat",
+    "dump_snapshot", "dumps_snapshot", "render_prometheus",
+    "render_stat", "KernelObserver",
 ]

@@ -10,9 +10,11 @@ simulation clock, two runs of the same seeded workload produce
 byte-identical snapshots (:func:`dumps_snapshot` is the witness the
 tests and the CI gate compare).
 
-Like the tracer, the registry is **zero-cost when not installed**:
-every hook site in the kernel and the engines is a single
-``is not None`` guard, and no instrument object is ever constructed
+Like the tracer, the registry subclasses
+:class:`~repro.obs.hooks.KernelObserver` (overriding only the kernel
+events it counts) and is **zero-cost when not installed**: every hook
+site in the kernel and the engines is a single ``is not None`` guard,
+and no instrument object is ever constructed
 (:attr:`MetricsRegistry.total_updates` is the class-level witness).
 
 Three consumers sit on top:
@@ -24,13 +26,6 @@ Three consumers sit on top:
 * ``jash stat`` (:mod:`repro.obs.stat`) — per-window tables: top
   commands by CPU/disk/stall, pipe backpressure, cache hit rate over
   time.
-
-:class:`ObservedCosts` closes the loop for profile-guided optimization:
-it distills the registry's per-command counters into measured
-CPU-per-byte coefficients and dispatch rates that
-:mod:`repro.compiler.cost` consumes in place of the static estimates
-(behind ``JashConfig.profile_feedback``; decisions are bit-identical
-when the flag is off).
 
 Determinism rules (also DESIGN.md §13):
 
@@ -49,7 +44,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional
+
+from .hooks import KernelObserver
 
 #: histogram bucket exponents are clamped to this range (2^-30 .. 2^40)
 _MIN_EXP = -30
@@ -126,12 +122,12 @@ class Histogram:
         return float(self.count)
 
 
-class MetricsRegistry:
+class MetricsRegistry(KernelObserver):
     """Typed, labelled instruments sampled on the virtual clock.
 
-    ``interval`` is the sampling window in virtual seconds.  The kernel
-    calls :meth:`maybe_sample` as the clock advances (one guarded call
-    per event-loop step); engines and the supervisor update instruments
+    ``interval`` is the sampling window in virtual seconds.  The kernel's
+    ``on_tick`` hook calls :meth:`maybe_sample` as the clock advances
+    (once per event-loop step); engines and the supervisor update instruments
     through the same get-or-create accessors user code uses.
     """
 
@@ -229,13 +225,13 @@ class MetricsRegistry:
             else:
                 self.windows.append([now, now, values])
 
-    # -- kernel hooks (single-guard sites, mirroring the Tracer) -------------
+    # -- kernel hooks (the KernelObserver events this plane counts) ---------
 
-    def on_dispatch(self, proc, request) -> None:
+    def on_dispatch(self, now: float, proc, request) -> None:
         self.counter("kernel.dispatches", req=type(request).__name__).inc()
         self.counter("proc.dispatches", proc=proc.name).inc()
 
-    def on_spawn(self, now: float, proc) -> None:
+    def on_spawn(self, now: float, proc, parent=None) -> None:
         self.counter("proc.spawns", proc=proc.name).inc()
         self._live_procs += 1
         self.gauge("procs.live").set(float(self._live_procs))
@@ -246,7 +242,7 @@ class MetricsRegistry:
         if proc.pid in self._stall:
             self.on_pipe_stall_end(now, proc)
 
-    def on_cpu(self, now: float, proc, work: float) -> None:
+    def on_cpu_begin(self, now: float, proc, work: float) -> None:
         """CPU core-seconds, counted at burst submission."""
         self.counter("proc.cpu_s", proc=proc.name).inc(work)
         self.histogram("cpu.burst_s").observe(work)
@@ -282,7 +278,8 @@ class MetricsRegistry:
     def on_pipe_stall_begin(self, now: float, proc, pipe, kind: str) -> None:
         self._stall[proc.pid] = (now, kind, self.pipe_key(pipe))
 
-    def on_pipe_stall_end(self, now: float, proc) -> None:
+    def on_pipe_stall_end(self, now: float, proc, nbytes: int = 0,
+                          broken: bool = False) -> None:
         entry = self._stall.pop(proc.pid, None)
         if entry is None:
             return
@@ -292,14 +289,19 @@ class MetricsRegistry:
         self.counter("proc.stall_s", kind=kind, proc=proc.name).inc(
             now - start)
 
-    def on_splice(self, proc, nbytes: int, nparts: int) -> None:
+    def on_splice_chunk(self, now: float, proc, nbytes: int,
+                        nparts: int) -> None:
         self.counter("kernel.splice_bytes").inc(float(nbytes))
         self.counter("kernel.splice_chunks").inc(float(nparts))
 
     def on_net(self, now: float, proc, dst: str, nbytes: int) -> None:
         self.counter("net.bytes", node=proc.node.name).inc(float(nbytes))
 
-    def on_fault(self, now: float, event) -> None:
+    def on_tick(self, now: float, kernel) -> None:
+        if now >= self._next_sample:
+            self.maybe_sample(now)
+
+    def on_fault(self, now: float, event, op: int) -> None:
         self.counter("faults.fired", kind=event.kind).inc()
 
     # -- snapshot / export ---------------------------------------------------
@@ -418,65 +420,3 @@ def render_prometheus(registry: MetricsRegistry) -> str:
                 lines.append(f"{pname}{label_s} "
                              f"{_prom_value(round(inst.value, 9))}")
     return "\n".join(lines) + "\n"
-
-
-# -- profile feedback into the optimizer --------------------------------------
-
-class ObservedCosts:
-    """Measured per-command costs distilled from a registry.
-
-    The optimizer's static model guesses a CPU-per-byte coefficient for
-    every command; this object replaces the guess with the ratio the
-    metrics plane actually observed (``proc.cpu_s / bytes seen``), and
-    exposes per-command syscall dispatch *rates* for startup-cost
-    corrections.  Consumed by :func:`repro.compiler.cost._stage_cpu`
-    when ``JashConfig.profile_feedback`` is on; a command without
-    enough observed bytes falls back to the static estimate, so cold
-    starts behave exactly like the flag being off.
-    """
-
-    #: commands with fewer observed bytes than this keep the estimate
-    MIN_OBSERVED_BYTES = 4096.0
-
-    def __init__(self) -> None:
-        self.cpu_s: dict[str, float] = {}
-        self.bytes_seen: dict[str, float] = {}
-        self.dispatches: dict[str, float] = {}
-
-    @classmethod
-    def from_registry(cls, registry: Optional[MetricsRegistry]
-                      ) -> Optional["ObservedCosts"]:
-        if registry is None:
-            return None
-        obs = cls()
-        for name, labels, inst in registry.series:
-            proc = dict(labels).get("proc")
-            if proc is None:
-                continue
-            if name == "proc.cpu_s":
-                obs.cpu_s[proc] = obs.cpu_s.get(proc, 0.0) + inst.value
-            elif name in ("proc.read_bytes", "proc.disk_bytes"):
-                obs.bytes_seen[proc] = (obs.bytes_seen.get(proc, 0.0)
-                                        + inst.value)
-            elif name == "proc.dispatches":
-                obs.dispatches[proc] = (obs.dispatches.get(proc, 0.0)
-                                        + inst.value)
-        return obs if obs.cpu_s else None
-
-    def coeff(self, command: str) -> Optional[float]:
-        """Measured CPU seconds per input byte, or None if unobserved."""
-        nbytes = self.bytes_seen.get(command, 0.0)
-        if nbytes < self.MIN_OBSERVED_BYTES:
-            return None
-        cpu = self.cpu_s.get(command)
-        if cpu is None or cpu <= 0.0:
-            return None
-        return cpu / nbytes
-
-    def dispatch_rate(self, command: str) -> Optional[float]:
-        """Observed syscall dispatches per input byte (the splice fast
-        path drives this toward zero for pass-through stages)."""
-        nbytes = self.bytes_seen.get(command, 0.0)
-        if nbytes < self.MIN_OBSERVED_BYTES:
-            return None
-        return self.dispatches.get(command, 0.0) / nbytes

@@ -13,8 +13,11 @@ receives callbacks from every layer of the stack:
 * the engines — Jash JIT compile/decide/degrade, PaSh-AOT regions,
   transactional attempts/rollbacks/commits, and distributed dispatch.
 
-Tracing is **zero-cost when disabled**: no tracer installed means every
-call site is a single ``is not None`` guard and no record object is ever
+The kernel and fault-plan callbacks are the shared event vocabulary of
+:class:`~repro.obs.hooks.KernelObserver`; the tracer overrides every
+one of them.  Tracing is **zero-cost when disabled**: no tracer
+installed means every kernel hook site is a single ``is not None``
+guard on the kernel's observation slot and no record object is ever
 constructed (:attr:`Tracer.total_records` is the witness the tests use).
 
 Records are deterministic for a fixed workload + seed: they carry only
@@ -26,9 +29,11 @@ byte-identical traces.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .accounting import ResourceAccounting
+from .hooks import KernelObserver
 
 #: Record phases, mirroring the Chrome trace_event vocabulary.
 SPAN = "X"
@@ -52,7 +57,11 @@ class TraceRecord:
     args: dict = field(default_factory=dict)
 
 
-class Tracer:
+#: raw pipe ids in process error strings ("pipe 17: injected break")
+_PIPE_ID = re.compile(r"\bpipe (\d+)")
+
+
+class Tracer(KernelObserver):
     """Collects typed records and folds them into ResourceAccounting.
 
     ``record_events=False`` keeps the accounting but drops the event
@@ -102,10 +111,13 @@ class Tracer:
     # -- canonical names -----------------------------------------------------------
 
     def pipe_key(self, pipe) -> int:
-        key = self._pipe_keys.get(pipe.id)
+        return self._pipe_id_key(pipe.id)
+
+    def _pipe_id_key(self, pipe_id: int) -> int:
+        key = self._pipe_keys.get(pipe_id)
         if key is None:
             key = len(self._pipe_keys) + 1
-            self._pipe_keys[pipe.id] = key
+            self._pipe_keys[pipe_id] = key
         return key
 
     def canon_path(self, path: str) -> str:
@@ -178,7 +190,7 @@ class Tracer:
             start, work = self._cpu.pop(proc.pid)
             self.span("cpu", "cpu", start, now, proc, killed=True)
         if proc.pid in self._stall:
-            self.on_pipe_stall_end(now, proc, 0, killed=True)
+            self._end_stall(now, proc, 0, killed=True)
         if proc.pid in self._splice:  # pragma: no cover - kernel closes first
             self.on_splice_end(now, proc, 0, 0, error="killed")
         if proc.pid in self._wait:
@@ -192,18 +204,22 @@ class Tracer:
         st.exit_status = proc.exit_status
         args = {"status": proc.exit_status}
         if proc.error:
-            args["error"] = proc.error
+            # pipe ids come from a process-global counter: renumber them
+            args["error"] = _PIPE_ID.sub(
+                lambda m: f"pipe {self._pipe_id_key(int(m.group(1)))}",
+                proc.error)
         self._emit(TraceRecord(
             f"{proc.name}", "process", SPAN, proc.start_time,
             max(0.0, now - proc.start_time), pid=proc.pid,
             node=proc.node.name, args=args,
         ))
 
-    def on_syscall(self, now: float, proc, request) -> None:
-        self._emit(TraceRecord(
-            type(request).__name__, "syscall", INSTANT, now, pid=proc.pid,
-            node=proc.node.name,
-        ))
+    def on_dispatch(self, now: float, proc, request) -> None:
+        if self.syscall_events:
+            self._emit(TraceRecord(
+                type(request).__name__, "syscall", INSTANT, now,
+                pid=proc.pid, node=proc.node.name,
+            ))
 
     # -- kernel hooks: CPU ---------------------------------------------------------------
 
@@ -294,7 +310,11 @@ class Tracer:
         self._stall[proc.pid] = (now, kind, self.pipe_key(pipe))
 
     def on_pipe_stall_end(self, now: float, proc, nbytes: int = 0,
-                          broken: bool = False, killed: bool = False) -> None:
+                          broken: bool = False) -> None:
+        self._end_stall(now, proc, nbytes, broken=broken)
+
+    def _end_stall(self, now: float, proc, nbytes: int, broken: bool = False,
+                   killed: bool = False) -> None:
         entry = self._stall.pop(proc.pid, None)
         if entry is None:
             return
@@ -343,7 +363,7 @@ class Tracer:
 
     # -- kernel hooks: wait / net / scheduler ------------------------------------------------
 
-    def on_wait_edge(self, proc, child) -> None:
+    def on_wait_edge(self, now: float, proc, child) -> None:
         self.accounting.proc(proc).waited_on.add(child.pid)
 
     def on_wait_begin(self, now: float, proc, child) -> None:
@@ -361,8 +381,10 @@ class Tracer:
         self.accounting.proc(proc).net_bytes += nbytes
         self.instant("net", f"net.send:{dst}", now, proc, bytes=nbytes)
 
-    def on_tick(self, now: float, ready: int, running: int) -> None:
-        self.counter("sched", "sched", now, ready=ready, running=running)
+    def on_tick(self, now: float, kernel) -> None:
+        self.counter("sched", "sched", now, ready=len(kernel._ready),
+                     running=sum(len(n.cpu_active)
+                                 for n in kernel.nodes.values()))
 
     # -- fault hook (repro.vos.faults) ---------------------------------------------------------
 

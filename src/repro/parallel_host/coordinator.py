@@ -21,11 +21,8 @@ are exactly the serial bytes and the fallback is invisible.
 
 Virtual-time identity needs no merging at all: every virtual op (read,
 CPU charge, write, fault decision) still executes in the simulation in
-the same order with the same arguments, so workers' virtual-time deltas
-are zero *by construction* and the fault plan's op counters advance
-identically at any ``--jobs``.  The coordinator still sums the
-(zero-valued) deltas workers return — the protocol keeps the slot so a
-future worker that *did* simulate would be caught by the equality gate.
+the same order with the same arguments, so the fault plan's op counters
+advance identically at any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -94,8 +91,6 @@ class HostCoordinator:
             "tasks": 0,
             "bytes_shipped": 0,
             "bytes_returned": 0,
-            "worker_vt_delta": 0.0,
-            "worker_fault_ops": 0,
         }
 
     # -- per-run lifecycle -------------------------------------------------
@@ -129,19 +124,13 @@ class HostCoordinator:
                 self._dispatch(state)
 
     def end_run(self, kernel=None) -> None:
-        """Merge worker-returned deltas into the run's planes: metrics
-        counters through the registry (so ``total_updates`` witnesses
-        them), fault-plan op deltas onto the plan, spans to the tracer."""
+        """Merge the run's pool deltas into its planes: metrics counters
+        through the registry (so ``total_updates`` witnesses them) and
+        spans to the tracer."""
         metrics = getattr(kernel, "metrics", None) if kernel else None
         tracer = getattr(kernel, "tracer", None) if kernel else None
-        faults = getattr(kernel, "faults", None) if kernel else None
         mark = getattr(self, "_mark", None) or {}
         delta = {k: v - mark.get(k, 0) for k, v in self.stats.items()}
-        if faults is not None:
-            # workers execute zero virtual ops, so the summed delta is
-            # zero — aggregated here so a nonzero delta would surface
-            # as a --jobs divergence instead of vanishing silently
-            faults.ops += int(delta["worker_fault_ops"])
         if metrics is not None and delta["regions_dispatched"]:
             # aggregates only: which worker got which task is host
             # scheduling noise, and the registry's snapshots must stay
@@ -301,8 +290,6 @@ class HostCoordinator:
                 return False
             state.host_s += result.get("host_s", 0.0)
             self.stats["bytes_returned"] += result.get("bytes_out", 0)
-            self.stats["worker_vt_delta"] += result.get("vt_delta", 0.0)
-            self.stats["worker_fault_ops"] += result.get("fault_ops", 0)
         for stage_i in range(n_stages):
             spec = plan.tr_chain[stage_i]
             squeeze = spec["squeeze"]
@@ -393,10 +380,6 @@ class HostCoordinator:
             for result in results:
                 if not fused:  # fused results were accounted in _merge_tr
                     state.host_s += result.get("host_s", 0.0)
-                    self.stats["worker_vt_delta"] += result.get(
-                        "vt_delta", 0.0)
-                    self.stats["worker_fault_ops"] += result.get(
-                        "fault_ops", 0)
                 kind, payload, m = result["part"]
                 total_lines += m
                 if kind == "spill":

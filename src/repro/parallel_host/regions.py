@@ -217,7 +217,7 @@ def _statement_nodes(program) -> list:
 
 def detect_regions(program, analysis, fs, cwd: str,
                    min_ship_bytes: int, jobs: int,
-                   static_hints=None, observed=None) -> list[RegionPlan]:
+                   static_hints=None) -> list[RegionPlan]:
     """All certificate- and volume-gated regions of ``program``."""
     from ..compiler.cost import estimate_host_ship
     from ..parser.unparse import unparse
@@ -257,7 +257,7 @@ def detect_regions(program, analysis, fs, cwd: str,
         ship = estimate_host_ship(
             plan.nbytes, jobs, stages=len(plan.stages),
             static_hints=static_hints, region_text=plan.text,
-            observed=observed, min_ship_bytes=min_ship_bytes)
+            min_ship_bytes=min_ship_bytes)
         # min_ship_bytes == 0 is the explicit "always ship" override
         if not ship.worthwhile and min_ship_bytes > 0:
             continue

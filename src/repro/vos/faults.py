@@ -187,13 +187,9 @@ class FaultPlan:
         self.slow_factor = slow_factor
         self.max_faults = max_faults
         self.fraction = fraction
-        #: optional repro.obs.Tracer — firings are mirrored into the
-        #: structured trace stream, inline with kernel spans (wired by
-        #: Kernel.install_tracer / the Kernel.faults setter)
-        self.tracer = None
-        #: optional repro.obs.MetricsRegistry — firings increment the
-        #: faults.fired counter (wired by Kernel.install_metrics)
-        self.metrics = None
+        #: the kernel's observation slot (repro.obs.hooks), wired by
+        #: the kernel: every firing is reported through ``on_fault``
+        self.obs = None
         self.reset()
 
     def reset(self) -> None:
@@ -229,10 +225,9 @@ class FaultPlan:
         self.log.append(event)
         if counted:
             self._budget_used += 1
-        if self.tracer is not None:
-            self.tracer.on_fault(now, event, self.ops)
-        if self.metrics is not None:
-            self.metrics.on_fault(now, event)
+        obs = self.obs
+        if obs is not None:
+            obs.on_fault(now, event, self.ops)
 
     def trace(self) -> list[str]:
         """The virtual-time fault trace (for determinism assertions)."""

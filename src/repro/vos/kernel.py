@@ -131,12 +131,14 @@ class Kernel:
         self._timer_seq = 0
         self.network = None  # installed by repro.distributed for clusters
         self._net_queue: list = []
-        #: structured tracer (repro.obs.Tracer) or None; every emission
-        #: site is guarded so an untraced kernel pays one None-check
+        #: the installed repro.obs.Tracer / MetricsRegistry (or None),
+        #: kept as records for the engines; no hook site reads them
         self.tracer = None
-        #: metrics registry (repro.obs.MetricsRegistry) or None — same
-        #: single-guard discipline as the tracer
         self.metrics = None
+        #: the observation slot every kernel hook site guards on: None,
+        #: the one installed sink, or a fan-out over both
+        #: (repro.obs.hooks), so an unobserved kernel pays one None-check
+        self.obs = None
         self.steps = 0
         #: syscall dispatches (one per request crossing the process →
         #: kernel boundary; splice pumps move data without re-dispatching)
@@ -152,15 +154,13 @@ class Kernel:
         self.tracer = tracer
         if tracer is not None:
             tracer.attach(self)
-        if self._faults is not None and tracer is not None:
-            self._faults.tracer = tracer
+        self._wire_obs()
 
     def install_metrics(self, registry) -> None:
         """Attach a repro.obs.MetricsRegistry; like the tracer, fault
         plans installed before or after report into it too."""
         self.metrics = registry
-        if self._faults is not None and registry is not None:
-            self._faults.metrics = registry
+        self._wire_obs()
 
     @property
     def faults(self):
@@ -169,10 +169,16 @@ class Kernel:
     @faults.setter
     def faults(self, plan) -> None:
         self._faults = plan
-        if plan is not None and self.tracer is not None:
-            plan.tracer = self.tracer
-        if plan is not None and self.metrics is not None:
-            plan.metrics = self.metrics
+        self._wire_obs()
+
+    def _wire_obs(self) -> None:
+        """Rebuild the observation slot shared by the kernel and its
+        fault plan from the installed tracer and registry."""
+        from ..obs.hooks import observer_slot
+
+        self.obs = observer_slot(self.tracer, self.metrics)
+        if self._faults is not None:
+            self._faults.obs = self.obs
 
     # -- topology ----------------------------------------------------------------
 
@@ -202,12 +208,9 @@ class Kernel:
         proc.start_time = self.now
         self.processes[proc.pid] = proc
         self._ready.append((proc, None, None))
-        tr = self.tracer
-        if tr is not None:
-            tr.on_spawn(self.now, proc, parent)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_spawn(self.now, proc)
+        obs = self.obs
+        if obs is not None:
+            obs.on_spawn(self.now, proc, parent)
         return proc
 
     def kill_process(self, proc: Process, status: int = 137) -> None:
@@ -217,9 +220,9 @@ class Kernel:
             return
         self._advance_cpu(proc.node)
         remaining = proc.node.cpu_active.pop(proc, None)
-        tr = self.tracer
-        if tr is not None and remaining is not None:
-            tr.on_cpu_killed(self.now, proc, remaining)
+        obs = self.obs
+        if obs is not None and remaining is not None:
+            obs.on_cpu_killed(self.now, proc, remaining)
         self._exit(proc, status, error="killed")
 
     def processes_on(self, node: Node) -> list[Process]:
@@ -231,10 +234,10 @@ class Kernel:
         if proc._splice is not None:
             st = proc._splice
             proc._splice = None
-            tr = self.tracer
-            if tr is not None:
-                tr.on_splice_end(self.now, proc, st.total, st.chunks,
-                                 error=error or "killed")
+            obs = self.obs
+            if obs is not None:
+                obs.on_splice_end(self.now, proc, st.total, st.chunks,
+                                  error=error or "killed")
         proc.exit_status = int(status) & 0xFF if status is not None else 0
         if status is not None and not (0 <= int(status) <= 255):
             proc.exit_status = int(status) & 0xFF
@@ -246,17 +249,14 @@ class Kernel:
             del node.cpu_active[proc]
         for fd in list(proc.fds):
             self._close_fd(proc, fd)
-        tr = self.tracer
+        obs = self.obs
         for waiter in proc.waiters:
-            if tr is not None:
-                tr.on_wait_end(self.now, waiter, proc)
+            if obs is not None:
+                obs.on_wait_end(self.now, waiter, proc)
             self._ready.append((waiter, proc.exit_status, None))
         proc.waiters.clear()
-        if tr is not None:
-            tr.on_exit(self.now, proc)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_exit(self.now, proc)
+        if obs is not None:
+            obs.on_exit(self.now, proc)
 
     def _close_fd(self, proc: Process, fd: int) -> None:
         handle = proc.fds.pop(fd, None)
@@ -338,12 +338,9 @@ class Kernel:
 
     def _dispatch(self, proc: Process, request) -> None:
         self.dispatches += 1
-        tr = self.tracer
-        if tr is not None and tr.syscall_events:
-            tr.on_syscall(self.now, proc, request)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_dispatch(proc, request)
+        obs = self.obs
+        if obs is not None:
+            obs.on_dispatch(self.now, proc, request)
         if isinstance(request, CpuReq):
             self._sys_cpu(proc, request)
         elif isinstance(request, ReadReq):
@@ -392,12 +389,9 @@ class Kernel:
         work = max(_EPS, seconds / node.cpu_speed)
         self._advance_cpu(node)
         node.cpu_active[proc] = work
-        tr = self.tracer
-        if tr is not None:
-            tr.on_cpu_begin(self.now, proc, work)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_cpu(self.now, proc, work)
+        obs = self.obs
+        if obs is not None:
+            obs.on_cpu_begin(self.now, proc, work)
 
     def _advance_cpu(self, node: Node) -> None:
         """Account progress of active CPU bursts on `node` up to `self.now`."""
@@ -412,11 +406,11 @@ class Kernel:
             node.cpu_active[p] -= elapsed * rate
             if node.cpu_active[p] <= _EPS:
                 finished.append(p)
-        tr = self.tracer
+        obs = self.obs
         for p in finished:
             del node.cpu_active[p]
-            if tr is not None:
-                tr.on_cpu_end(self.now, p)
+            if obs is not None:
+                obs.on_cpu_end(self.now, p)
             self._ready.append((p, None, None))
 
     # IO -----------------------------------------------------------------------------
@@ -620,12 +614,9 @@ class Kernel:
 
     def _disk_submit(self, disk: Disk, request: _DiskRequest) -> None:
         request.start = self.now
-        tr = self.tracer
-        if tr is not None:
-            tr.on_disk_submit(self.now, disk, request)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_disk_submit(self.now, disk, request)
+        obs = self.obs
+        if obs is not None:
+            obs.on_disk_submit(self.now, disk, request)
         if disk.current is None:
             self._disk_start(disk, request)
         else:
@@ -642,12 +633,9 @@ class Kernel:
         disk.current = None
         disk.busy_until = None
         if request is not None:
-            tr = self.tracer
-            if tr is not None:
-                tr.on_disk_complete(self.now, disk, request)
-            mx = self.metrics
-            if mx is not None:
-                mx.on_disk_complete(self.now, disk, request)
+            obs = self.obs
+            if obs is not None:
+                obs.on_disk_complete(self.now, disk, request)
             self._ready.append((request.process, request.result, None))
         if disk.queue:
             self._disk_start(disk, disk.queue.pop(0))
@@ -656,8 +644,7 @@ class Kernel:
 
     def _pipe_read(self, proc: Process, pipe: Pipe, nbytes: int,
                    vector: bool = False) -> None:
-        tr = self.tracer
-        mx = self.metrics
+        obs = self.obs
         if pipe.size:
             if vector:
                 data = pipe.pull_chunks(nbytes)
@@ -665,19 +652,15 @@ class Kernel:
             else:
                 data = pipe.pull(nbytes)
                 n = len(data)
-            if tr is not None:
-                tr.on_pipe_read(self.now, proc, pipe, n)
-            if mx is not None:
-                mx.on_pipe_read(self.now, proc, pipe, n)
+            if obs is not None:
+                obs.on_pipe_read(self.now, proc, pipe, n)
             self._ready.append((proc, data, None))
             self._service_pipe_writers(pipe)
         elif pipe.writers == 0:
             self._ready.append((proc, [] if vector else b"", None))
         else:
-            if tr is not None:
-                tr.on_pipe_stall_begin(self.now, proc, pipe, "read")
-            if mx is not None:
-                mx.on_pipe_stall_begin(self.now, proc, pipe, "read")
+            if obs is not None:
+                obs.on_pipe_stall_begin(self.now, proc, pipe, "read")
             pipe.read_waiters.append((proc, nbytes, vector))
 
     def _pipe_fault(self, proc: Process, pipe: Pipe,
@@ -718,13 +701,10 @@ class Kernel:
             view = part if isinstance(part, memoryview) else memoryview(part)
             pushed += pipe.push(view[:keep])
             keep -= min(keep, len(part))
-        tr = self.tracer
-        if tr is not None and pushed:
-            tr.on_pipe_write(self.now, proc, pipe, pushed)
-        mx = self.metrics
-        if mx is not None and pushed:
-            mx.on_pipe_write(self.now, proc, pipe, pushed)
         if pushed:
+            obs = self.obs
+            if obs is not None:
+                obs.on_pipe_write(self.now, proc, pipe, pushed)
             self._wake_pipe_readers(pipe)
         self._ready.append(
             (proc, None,
@@ -741,21 +721,16 @@ class Kernel:
         if self._pipe_fault(proc, pipe, via, [data]):
             return
         accepted = pipe.push(data)
-        tr = self.tracer
-        if tr is not None:
-            tr.on_pipe_write(self.now, proc, pipe, accepted)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_pipe_write(self.now, proc, pipe, accepted)
+        obs = self.obs
+        if obs is not None:
+            obs.on_pipe_write(self.now, proc, pipe, accepted)
         if accepted:
             self._wake_pipe_readers(pipe)
         if accepted == len(data):
             self._ready.append((proc, accepted, None))
         else:
-            if tr is not None:
-                tr.on_pipe_stall_begin(self.now, proc, pipe, "write")
-            if mx is not None:
-                mx.on_pipe_stall_begin(self.now, proc, pipe, "write")
+            if obs is not None:
+                obs.on_pipe_stall_begin(self.now, proc, pipe, "write")
             view = data if isinstance(data, memoryview) else memoryview(data)
             pipe.write_waiters.append((proc, [view[accepted:]], accepted))
 
@@ -767,26 +742,20 @@ class Kernel:
         if self._pipe_fault(proc, pipe, via, parts):
             return
         accepted, remaining = pipe.push_vector(parts)
-        tr = self.tracer
-        if tr is not None:
-            tr.on_pipe_write(self.now, proc, pipe, accepted)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_pipe_write(self.now, proc, pipe, accepted)
+        obs = self.obs
+        if obs is not None:
+            obs.on_pipe_write(self.now, proc, pipe, accepted)
         if accepted:
             self._wake_pipe_readers(pipe)
         if not remaining:
             self._ready.append((proc, accepted, None))
         else:
-            if tr is not None:
-                tr.on_pipe_stall_begin(self.now, proc, pipe, "write")
-            if mx is not None:
-                mx.on_pipe_stall_begin(self.now, proc, pipe, "write")
+            if obs is not None:
+                obs.on_pipe_stall_begin(self.now, proc, pipe, "write")
             pipe.write_waiters.append((proc, remaining, accepted))
 
     def _wake_pipe_readers(self, pipe: Pipe) -> None:
-        tr = self.tracer
-        mx = self.metrics
+        obs = self.obs
         while pipe.read_waiters and (pipe.size or pipe.writers == 0):
             proc, nbytes, vector = pipe.read_waiters.pop(0)
             if proc.state == DONE:
@@ -797,20 +766,16 @@ class Kernel:
             else:
                 data = pipe.pull(nbytes)
                 n = len(data)
-            if tr is not None:
-                tr.on_pipe_stall_end(self.now, proc, n)
-                tr.on_pipe_read(self.now, proc, pipe, n)
-            if mx is not None:
-                mx.on_pipe_stall_end(self.now, proc)
-                mx.on_pipe_read(self.now, proc, pipe, n)
+            if obs is not None:
+                obs.on_pipe_stall_end(self.now, proc, n)
+                obs.on_pipe_read(self.now, proc, pipe, n)
             self._ready.append((proc, data, None))
         if pipe.read_waiters or not pipe.write_waiters:
             return
         self._service_pipe_writers(pipe)
 
     def _service_pipe_writers(self, pipe: Pipe) -> None:
-        tr = self.tracer
-        mx = self.metrics
+        obs = self.obs
         progressed = False
         while pipe.write_waiters and pipe.space() > 0:
             proc, parts, done = pipe.write_waiters.pop(0)
@@ -819,15 +784,11 @@ class Kernel:
             accepted, remaining = pipe.push_vector(parts)
             progressed = progressed or accepted > 0
             done += accepted
-            if tr is not None and accepted:
-                tr.on_pipe_write(self.now, proc, pipe, accepted)
-            if mx is not None and accepted:
-                mx.on_pipe_write(self.now, proc, pipe, accepted)
+            if obs is not None and accepted:
+                obs.on_pipe_write(self.now, proc, pipe, accepted)
             if not remaining:
-                if tr is not None:
-                    tr.on_pipe_stall_end(self.now, proc, done)
-                if mx is not None:
-                    mx.on_pipe_stall_end(self.now, proc)
+                if obs is not None:
+                    obs.on_pipe_stall_end(self.now, proc, done)
                 self._ready.append((proc, done, None))
             else:
                 pipe.write_waiters.insert(0, (proc, remaining, done))
@@ -836,15 +797,12 @@ class Kernel:
             self._wake_pipe_readers(pipe)
 
     def _break_pipe_writers(self, pipe: Pipe) -> None:
-        tr = self.tracer
-        mx = self.metrics
+        obs = self.obs
         waiters, pipe.write_waiters = pipe.write_waiters, []
-        for proc, _remaining, _done in waiters:
+        for proc, _remaining, done in waiters:
             if proc.state != DONE:
-                if tr is not None:
-                    tr.on_pipe_stall_end(self.now, proc, _done, broken=True)
-                if mx is not None:
-                    mx.on_pipe_stall_end(self.now, proc)
+                if obs is not None:
+                    obs.on_pipe_stall_end(self.now, proc, done, broken=True)
                 self._ready.append((proc, None, BrokenPipe(f"pipe {pipe.id}")))
 
     # splice fast path -----------------------------------------------------------------
@@ -866,9 +824,9 @@ class Kernel:
         proc._splice = _SpliceState(src, request.src_fd, dsts,
                                     request.dst_fds, request.cpu_coeff,
                                     request.chunk)
-        tr = self.tracer
-        if tr is not None:
-            tr.on_splice_begin(self.now, proc, src, dsts)
+        obs = self.obs
+        if obs is not None:
+            obs.on_splice_begin(self.now, proc, src, dsts)
         self._splice_read(proc, proc._splice)
 
     def _splice_read(self, proc: Process, st: "_SpliceState") -> None:
@@ -888,10 +846,10 @@ class Kernel:
         st = proc._splice
         if exc is not None:
             proc._splice = None
-            tr = self.tracer
-            if tr is not None:
-                tr.on_splice_end(self.now, proc, st.total, st.chunks,
-                                 error=type(exc).__name__)
+            obs = self.obs
+            if obs is not None:
+                obs.on_splice_end(self.now, proc, st.total, st.chunks,
+                                  error=type(exc).__name__)
             self._step(proc, None, exc)
             return
         if st.phase == "read":
@@ -899,9 +857,9 @@ class Kernel:
             if not parts:  # EOF: resume the generator with the byte total
                 total = st.total
                 proc._splice = None
-                tr = self.tracer
-                if tr is not None:
-                    tr.on_splice_end(self.now, proc, total, st.chunks)
+                obs = self.obs
+                if obs is not None:
+                    obs.on_splice_end(self.now, proc, total, st.chunks)
                 self._step(proc, total, None)
                 return
             st.parts = parts
@@ -910,9 +868,9 @@ class Kernel:
                 nbytes += len(part)
             st.total += nbytes
             st.chunks += 1
-            mx = self.metrics
-            if mx is not None:
-                mx.on_splice(proc, nbytes, len(parts))
+            obs = self.obs
+            if obs is not None:
+                obs.on_splice_chunk(self.now, proc, nbytes, len(parts))
             seconds = nbytes * st.coeff
             if seconds > 0:
                 st.phase = "cpu"
@@ -997,14 +955,14 @@ class Kernel:
         if child is None:
             self._ready.append((proc, None, NoSuchProcess(str(request.pid))))
             return
-        tr = self.tracer
-        if tr is not None:
-            tr.on_wait_edge(proc, child)
+        obs = self.obs
+        if obs is not None:
+            obs.on_wait_edge(self.now, proc, child)
         if child.state == DONE:
             self._ready.append((proc, child.exit_status, None))
         else:
-            if tr is not None:
-                tr.on_wait_begin(self.now, proc, child)
+            if obs is not None:
+                obs.on_wait_begin(self.now, proc, child)
             child.waiters.append(proc)
 
     def _sys_kill(self, proc: Process, request: KillReq) -> None:
@@ -1028,12 +986,9 @@ class Kernel:
     # network ----------------------------------------------------------------------------------
 
     def _sys_net_send(self, proc: Process, request: NetSendReq) -> None:
-        tr = self.tracer
-        if tr is not None:
-            tr.on_net(self.now, proc, request.dst_node, request.nbytes)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_net(self.now, proc, request.dst_node, request.nbytes)
+        obs = self.obs
+        if obs is not None:
+            obs.on_net(self.now, proc, request.dst_node, request.nbytes)
         if self.faults is not None:
             kind = self.faults.on_net_send(self.now, proc, request.dst_node)
             if kind == NET_ERROR:
@@ -1102,10 +1057,6 @@ class Kernel:
                     self.kill_process(victim)
         if self.network is not None:
             self.network.advance_to(self, self.now)
-        tr = self.tracer
-        if tr is not None:
-            tr.on_tick(self.now, len(self._ready),
-                       sum(len(n.cpu_active) for n in self.nodes.values()))
-        mx = self.metrics
-        if mx is not None:
-            mx.maybe_sample(self.now)
+        obs = self.obs
+        if obs is not None:
+            obs.on_tick(self.now, self)

@@ -1,21 +1,29 @@
 """Observability tests: tracer invariants, accounting, export schema,
-critical path, and engine spans."""
+critical path, engine spans, pinned trace/metrics digests, and the
+kernel's observation slot."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro import FaultPlan, FaultSpec, JashConfig, JashOptimizer, Shell
+from repro.bench import words_text
 from repro.compiler import OptimizerConfig
+from repro.distributed import Cluster, DistributedShell
 from repro.obs import (
+    KernelObserver,
+    MetricsRegistry,
     Tracer,
     chrome_trace,
     critical_path,
     dumps_chrome,
+    dumps_snapshot,
     format_record,
     render_report,
     validate_chrome_trace,
 )
+from repro.obs.hooks import HOOKS, FanOut, observer_slot
 from repro.vos.machines import laptop
 
 PIPELINE = "cat /in.txt | tr -cs A-Za-z '\\n' | sort > /out.txt"
@@ -245,6 +253,151 @@ class TestEngineSpans:
         # fault instants interleave at the right virtual times
         times = [r.ts for r in faults]
         assert times == [ev.time for ev in plan.log]
+
+
+WORDFREQ = ("cat /in.txt | tr -cs A-Za-z '\\n' | sort | uniq -c > /out.txt; "
+            "wc -l /in.txt")
+#: a background ``tr`` killed mid CPU burst (pid = the async wrapper's
+#: pid + 1) and waited on, then a ``cat`` splice through a pipe
+KILL_WAIT_SPLICE = ("tr a-z A-Z < /in.txt > /dev/null & pid=$!; "
+                    "sleep 0.0001; kill $((pid + 1)); wait $pid; "
+                    "echo st=$?; cat /in.txt | cat > /o.txt")
+
+
+def _shell_scenario(script, make_optimizer=None, make_faults=None):
+    def run(tracer, registry):
+        shell = Shell(laptop(),
+                      optimizer=make_optimizer and make_optimizer(),
+                      faults=make_faults and make_faults(),
+                      tracer=tracer, metrics=registry)
+        shell.fs.write_bytes("/in.txt", words_text(40000, seed=3))
+        assert shell.run(script).status == 0
+        return shell.kernel
+    return run
+
+
+def _jash():
+    return JashOptimizer(JashConfig(
+        optimizer=OptimizerConfig(min_input_bytes=1024)))
+
+
+def _dshell(tracer, registry):
+    cluster = Cluster(n_nodes=2)
+    cluster.kernel.install_tracer(tracer)
+    cluster.kernel.install_metrics(registry)
+    for i in range(2):
+        cluster.write_file(f"/logs/part{i}.log", b"".join(
+            b"host%d %s e%d\n" % (j % 3, b"ERROR" if j % 7 == 0 else b"INFO",
+                                   j) for j in range(400)), ["node1"])
+    result = DistributedShell(cluster).run(
+        "grep ERROR | wc -l", ["/logs/part0.log", "/logs/part1.log"])
+    assert result.status == 0
+    return cluster.kernel
+
+
+#: scenario -> (sha256 of dumps_chrome, sha256 of dumps_snapshot).
+#: These pin *what* the kernel emits, not only that two runs agree: a
+#: refactor of the hook sites that drops or reorders an event fails here.
+PINNED = {
+    "jash-wordfreq": (_shell_scenario(WORDFREQ, _jash),
+        "5a457c78bf314167f9a4a682e5f5e3c943a59b68767e4da1cfe2a52d0355f0d8",
+        "cd15d8e182cf9d5eaa66ca35c1c04eaf2c2c84923f2abececa9410f188bda923"),
+    "jash-wordfreq-faults": (_shell_scenario(
+        WORDFREQ, _jash, lambda: FaultPlan(seed=9, rate=0.03,
+                                           kinds=("disk-error",),
+                                           max_faults=2)),
+        "d505f331993abf6f6cd743c80fcffb4d29a38d7556d44eb6109a143617f5b644",
+        "f0480cb4508cf01a4e5197c277ac7a1ac05117d3d207dc237415f60cfb1ac4eb"),
+    # the plan above fires nothing on this input; this one fires a
+    # pipe break and a disk error inside the JIT region (both retried).
+    # The writer's error string names the broken pipe, canonically.
+    "jash-wordfreq-faults-fired": (_shell_scenario(
+        WORDFREQ, _jash, lambda: FaultPlan(seed=2, rate=0.1,
+                                           kinds=("disk-error",
+                                                  "pipe-break"),
+                                           max_faults=2)),
+        "76a7dc379179b4b2ded6e0e414db14e6c9a80def21f0ded751c2e004953a08ab",
+        "0981c6813ff5b8f7d9aff4eecebe1a766855e5c810d75499b54ba4648e5035bd"),
+    "kill-wait-splice": (_shell_scenario(KILL_WAIT_SPLICE),
+        "9e1da2e0cbb374e1f6ab61332f5a05c45b428c1608f3ba392381174c75a9829a",
+        "7541214c386a72104c98c9cbd7b09cd0d59ea77c18c88e3114b5bf069754ce61"),
+    "dshell-two-nodes": (_dshell,
+        "ba51a4a6d63b58d34ca6ccb848ce851ee4ea55364b689e652ed20dbc31235426",
+        "06478f42b8d1e8649f8c98d20b83576ffc3c6284b09b7a80be5a0f49bdf1d2e6"),
+}
+
+
+def _digests(run, tracer, registry):
+    kernel = run(tracer, registry)
+    trace_sha = snap_sha = None
+    if tracer is not None:
+        trace_sha = hashlib.sha256(dumps_chrome(tracer).encode()).hexdigest()
+    if registry is not None:
+        registry.finish(kernel.now)
+        snap_sha = hashlib.sha256(
+            dumps_snapshot(registry).encode()).hexdigest()
+    return trace_sha, snap_sha
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_trace_and_snapshot_digests(self, name):
+        run, trace_sha, snap_sha = PINNED[name]
+        got = _digests(run, Tracer(syscall_events=True),
+                       MetricsRegistry(interval=0.01))
+        assert got == (trace_sha, snap_sha)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_one_sink_alone_emits_the_same(self, name):
+        """The slot holding a lone sink (no fan-out) sees every event."""
+        run, trace_sha, snap_sha = PINNED[name]
+        assert _digests(run, Tracer(syscall_events=True), None) == \
+            (trace_sha, None)
+        assert _digests(run, None, MetricsRegistry(interval=0.01)) == \
+            (None, snap_sha)
+
+
+class TestObservationSlot:
+    def test_sinks_share_one_hook_vocabulary(self):
+        for sink in (Tracer, MetricsRegistry):
+            assert issubclass(sink, KernelObserver)
+            hooks = {name for name in dir(sink) if name.startswith("on_")}
+            assert hooks <= set(HOOKS), hooks - set(HOOKS)
+
+    def test_slot_is_none_a_lone_sink_or_a_fan_out(self):
+        kernel = laptop().make_kernel()
+        plan = FaultPlan()
+        kernel.faults = plan
+        assert kernel.obs is None and plan.obs is None
+        tracer = Tracer()
+        kernel.install_tracer(tracer)
+        assert kernel.obs is tracer and plan.obs is tracer
+        registry = MetricsRegistry()
+        kernel.install_metrics(registry)
+        assert isinstance(kernel.obs, FanOut) and plan.obs is kernel.obs
+        # a hook only one sink records is that sink's own bound method
+        assert kernel.obs.on_cpu_end == tracer.on_cpu_end
+        kernel.install_tracer(None)
+        assert kernel.obs is registry
+        later = FaultPlan()
+        kernel.faults = later
+        assert later.obs is registry
+
+    def test_fan_out_calls_each_overriding_sink_in_order(self):
+        calls = []
+
+        class Left(KernelObserver):
+            def on_net(self, now, proc, dst, nbytes):
+                calls.append(("left", dst, nbytes))
+
+        class Right(KernelObserver):
+            def on_net(self, now, proc, dst, nbytes):
+                calls.append(("right", dst, nbytes))
+
+        fan = observer_slot(Left(), None, Right())
+        fan.on_net(0.0, None, "node1", 7)
+        fan.on_tick(0.0, None)  # nobody overrides it: the base no-op
+        assert calls == [("left", "node1", 7), ("right", "node1", 7)]
 
 
 class TestFormatting:

@@ -165,6 +165,12 @@ class TestCli:
     def test_exit_status_propagates(self):
         assert cli_main(["run", "-c", "false"]) == 1
 
+    def test_syntax_error_is_a_shell_diagnostic(self, capsys):
+        assert cli_main(["run", "-c", "echo 'abc"]) == 2
+        err = capsys.readouterr().err
+        assert err == "jash: line 1: syntax error: unterminated single quote\n"
+        assert "Traceback" not in err
+
     def test_lint(self, capsys):
         status = cli_main(["lint", "-c", "sort f > f"])
         assert status == 1
