@@ -418,11 +418,16 @@ class ValueFlow:
 
     # -- entry point ---------------------------------------------------------------
 
-    def run(self, program: Command) -> AbsintResult:
-        # prepass: which names are script-defined (env filter for JS4004)
-        flow = EnvFlow()
-        flow.run(program)
-        self.all_defs = flow.all_defs
+    def run(self, program: Command,
+            all_defs: Optional[set[str]] = None) -> AbsintResult:
+        # prepass: which names are script-defined (env filter for JS4004);
+        # a caller that already ran EnvFlow on the program passes its
+        # ``all_defs``
+        if all_defs is None:
+            flow = EnvFlow()
+            flow.run(program)
+            all_defs = flow.all_defs
+        self.all_defs = all_defs
         st = _State()
         self._visit(program, st, emit=True, guard=False)
         self._region_costs(program)
@@ -668,9 +673,11 @@ class ValueFlow:
             if st.options[opt] != snap.options.get(opt):
                 st.options[opt] = None
 
-    def _body_can_escape(self, body: Command) -> bool:
+    def _body_can_escape(self, body: Command,
+                         seen: Optional[set[str]] = None) -> bool:
         """Could the loop body leave the loop in a way flow analysis does
-        not model (external signals, exec, sourced scripts)?"""
+        not model (external signals, exec, sourced scripts)?  ``seen``
+        holds the functions already followed, so recursion terminates."""
         names: set[str] = set()
         for sub in walk(body):
             if isinstance(sub, SimpleCommand) and sub.words and \
@@ -678,8 +685,12 @@ class ValueFlow:
                 names.add(sub.words[0].literal_value())
         if names & _LOOP_ESCAPES:
             return True
+        seen = set() if seen is None else seen
         for name in names & set(self.functions):
-            if self._body_can_escape(self.functions[name]):
+            if name in seen:
+                continue
+            seen.add(name)
+            if self._body_can_escape(self.functions[name], seen):
                 return True
         return False
 
@@ -1433,6 +1444,8 @@ class ValueFlow:
 
 
 def analyze_value_flow(program: Command, fs=None, cwd: str = "/",
-                       library=None) -> AbsintResult:
-    """Run the S20 abstract interpreter over a parsed program."""
-    return ValueFlow(fs=fs, cwd=cwd, library=library).run(program)
+                       library=None,
+                       all_defs: Optional[set[str]] = None) -> AbsintResult:
+    """Run the S20 abstract interpreter over a parsed program
+    (``all_defs``: the script-defined names, when already known)."""
+    return ValueFlow(fs=fs, cwd=cwd, library=library).run(program, all_defs)

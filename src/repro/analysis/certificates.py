@@ -35,7 +35,7 @@ from ..parser.ast_nodes import Command, CommandList, walk
 from ..parser.unparse import unparse
 from .candidates import pipeline_stages, purity_reason
 from .effects import EffectAnalyzer, EffectSummary, self_conflicts
-from .envflow import VarUse, use_before_def
+from .envflow import EnvFlow, VarUse
 from .races import RaceFinding, detect_races
 
 ANALYZER_VERSION = "s16.1"
@@ -87,9 +87,14 @@ def make_certificate(verdict: str, reason: str, node_text: str,
 class StatementReport:
     """One statement-level entry of the whole-script report."""
 
-    text: str
+    node: Command
     summary: EffectSummary
     is_async: bool = False
+
+    @property
+    def text(self) -> str:
+        """The statement's source (unparsed only when a report asks)."""
+        return unparse(self.node)
 
     def to_dict(self) -> dict:
         d = {"statement": self.text, "effects": self.summary.to_dict()}
@@ -183,27 +188,24 @@ def analyze_program(program: Command,
     effects = EffectAnalyzer(library)
     effects.register_functions(program)
     result = AnalysisResult(program=program)
+    # one reaching-definitions pass serves both the use-before-def report
+    # and the value-flow prepass
+    envflow = EnvFlow()
+    unreached = envflow.run(program)
     dead: frozenset = frozenset()
     if value_flow:
         from .absint import analyze_value_flow
 
         result.absint = analyze_value_flow(program, fs=fs, cwd=cwd,
-                                           library=library)
+                                           library=library,
+                                           all_defs=envflow.all_defs)
         dead = frozenset(result.absint.dead)
-
-    inside_pipeline: set[int] = set()
-    for node in walk(program):
-        from ..parser.ast_nodes import Pipeline
-
-        if isinstance(node, Pipeline):
-            for stage in node.commands:
-                inside_pipeline.add(id(stage))
 
     for node in walk(program):
         if isinstance(node, CommandList):
             for item in node.items:
                 result.statements.append(StatementReport(
-                    unparse(item.command), effects.compute(item.command),
+                    item.command, effects.compute(item.command),
                     item.is_async))
         stages = pipeline_stages(node)
         if stages is None:
@@ -232,5 +234,5 @@ def analyze_program(program: Command,
         result.cert_list.append(cert)
 
     result.races = detect_races(program, effects)
-    result.use_before_def = use_before_def(program)
+    result.use_before_def = unreached
     return result

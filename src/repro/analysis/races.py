@@ -64,9 +64,11 @@ def _is_wait(node: Command) -> bool:
 def detect_races(program: Command,
                  effects: EffectAnalyzer | None = None) -> list[RaceFinding]:
     """All races between background jobs and overlapping statements, in
-    every command list of the program (walk order)."""
-    effects = effects or EffectAnalyzer()
-    effects.register_functions(program)
+    every command list of the program (walk order).  A given ``effects``
+    analyzer must already know the program's functions."""
+    if effects is None:
+        effects = EffectAnalyzer()
+        effects.register_functions(program)
     findings: list[RaceFinding] = []
     for node in walk(program):
         if isinstance(node, CommandList):

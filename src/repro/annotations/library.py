@@ -230,7 +230,8 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
                                     blocking=blocking,
                                     selectivity=0.01 if name in ("head", "tail") else 1.0)
             return rule
-        lib.register(CommandSpec(name, [make_rule()]))
+        lib.register(CommandSpec(name, [make_rule()],
+                                 fixed_class=ParClass.NON_PARALLELIZABLE))
 
     # -- rev: stateless -------------------------------------------------------------
     def rev_rule(argv):
@@ -246,14 +247,16 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
         return InstanceSpec("comm", ParClass.NON_PARALLELIZABLE,
                             input_operands=ops, reads_stdin=False)
 
-    lib.register(CommandSpec("comm", [comm_rule]))
+    lib.register(CommandSpec("comm", [comm_rule],
+                             fixed_class=ParClass.NON_PARALLELIZABLE))
 
     def join_rule(argv):
         ops = tuple(_operands_of(argv, value_flags="t12"))
         return InstanceSpec("join", ParClass.NON_PARALLELIZABLE,
                             input_operands=ops, reads_stdin=False)
 
-    lib.register(CommandSpec("join", [join_rule]))
+    lib.register(CommandSpec("join", [join_rule],
+                             fixed_class=ParClass.NON_PARALLELIZABLE))
 
     # -- awk: stateless iff the program is a pure per-record map -------------------
     def awk_rule(argv):
@@ -292,13 +295,15 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
         return InstanceSpec("seq", ParClass.NON_PARALLELIZABLE,
                             reads_stdin=False)
 
-    lib.register(CommandSpec("seq", [seq_rule]))
+    lib.register(CommandSpec("seq", [seq_rule],
+                             fixed_class=ParClass.NON_PARALLELIZABLE))
 
     def echo_rule(argv):
         return InstanceSpec("echo", ParClass.NON_PARALLELIZABLE,
                             reads_stdin=False, selectivity=0.0)
 
-    lib.register(CommandSpec("echo", [echo_rule]))
+    lib.register(CommandSpec("echo", [echo_rule],
+                             fixed_class=ParClass.NON_PARALLELIZABLE))
 
     # -- side-effectful commands: excluded from dataflow ---------------------------------
     def tee_rule(argv):
@@ -306,14 +311,16 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
         return InstanceSpec("tee", ParClass.SIDE_EFFECTFUL,
                             output_files=files, pure=False)
 
-    lib.register(CommandSpec("tee", [tee_rule]))
+    lib.register(CommandSpec("tee", [tee_rule],
+                             fixed_class=ParClass.SIDE_EFFECTFUL))
 
     for name in ("rm", "mv", "cp", "mkdir", "touch", "split", "xargs"):
         def make_se_rule(name=name):
             def rule(argv):
                 return InstanceSpec(name, ParClass.SIDE_EFFECTFUL, pure=False)
             return rule
-        lib.register(CommandSpec(name, [make_se_rule()]))
+        lib.register(CommandSpec(name, [make_se_rule()],
+                                 fixed_class=ParClass.SIDE_EFFECTFUL))
 
     return lib
 

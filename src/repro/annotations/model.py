@@ -99,10 +99,15 @@ class CommandSpec:
 
     ``rules`` are tried in order; the first one returning an InstanceSpec
     wins.  A final default rule should always match.
+
+    ``fixed_class`` declares that every invocation has this class,
+    whatever its argv (the rules must agree; a test checks it).  It lets
+    the JIT classify a stage from its literal command name alone.
     """
 
     name: str
     rules: list[ClassifyFn] = field(default_factory=list)
+    fixed_class: Optional[ParClass] = None
 
     def classify(self, argv: list[str]) -> Optional[InstanceSpec]:
         for rule in self.rules:
@@ -117,9 +122,11 @@ class SpecLibrary:
 
     def __init__(self) -> None:
         self._specs: dict[str, CommandSpec] = {}
+        self._read_only: Optional[frozenset[str]] = None
 
     def register(self, spec: CommandSpec) -> None:
         self._specs[spec.name] = spec
+        self._read_only = None
 
     def get(self, name: str) -> Optional[CommandSpec]:
         return self._specs.get(name)
@@ -137,13 +144,16 @@ class SpecLibrary:
 
     def pure_read_only_commands(self) -> frozenset[str]:
         """Commands that never write anything (usable in pure command
-        substitutions, see repro.semantics.purity)."""
-        out = set()
-        for name, spec in self._specs.items():
-            probe = spec.classify([])
-            if probe is not None and probe.pure and not probe.output_files:
-                out.add(name)
-        return frozenset(out)
+        substitutions, see repro.semantics.purity).  Computed once per
+        set of registered specs."""
+        if self._read_only is None:
+            out = set()
+            for name, spec in self._specs.items():
+                probe = spec.classify([])
+                if probe is not None and probe.pure and not probe.output_files:
+                    out.add(name)
+            self._read_only = frozenset(out)
+        return self._read_only
 
     def __contains__(self, name: str) -> bool:
         return name in self._specs

@@ -22,7 +22,7 @@ from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import SpecLibrary
 from ..dfg.from_ast import extract_region
 from ..distributed.retry import RetryPolicy
-from ..parser.ast_nodes import Command, Pipeline, SimpleCommand
+from ..parser.ast_nodes import Command, FuncDef, Pipeline, SimpleCommand
 from ..parser.unparse import unparse
 from .driver import execute_plan, fs_file_sizes
 from .parallel import parallelize
@@ -121,10 +121,13 @@ class PashOptimizer:
                                 engine="pash",
                                 **self._analysis.absint.stats())
         inside_pipeline: set[int] = set()
+        functions: set[str] = set()
         for node in walk(program):
             if isinstance(node, Pipeline):
                 for stage in node.commands:
                     inside_pipeline.add(id(stage))
+            elif isinstance(node, FuncDef):
+                functions.add(node.name)
         for node in walk(program):
             if isinstance(node, Pipeline) or (
                 isinstance(node, SimpleCommand)
@@ -153,6 +156,11 @@ class PashOptimizer:
                         "region not extractable ahead-of-time (dynamic "
                         "words, unknown commands, or unsupported redirects)",
                     ))
+                elif _shadowed(region, functions):
+                    self.events.append(AotEvent(
+                        unparse(node), "skipped",
+                        "a stage names a shell function defined in the "
+                        "script"))
                 elif not region.parallelizable:
                     self.events.append(AotEvent(unparse(node), "skipped",
                                                 "no parallelizable stage"))
@@ -165,6 +173,8 @@ class PashOptimizer:
             yield  # pragma: no cover - keep generator shape
         text = unparse(node)
         region = extract_region(node, self.config.library)
+        if region is not None and _shadowed(region, interp.state.functions):
+            return None  # e.g. a function defined by eval at run time
         if region is None:
             if not self._compiled:
                 self.events.append(AotEvent(
@@ -247,3 +257,9 @@ class PashOptimizer:
     def optimized_count(self) -> int:
         return sum(1 for e in self.events
                    if e.decision in ("optimized", "degraded"))
+
+
+def _shadowed(region, functions) -> bool:
+    """Does a stage name a shell function?  The shell would call the
+    function, not the library command the region was built from."""
+    return any(stage.argv[0] in functions for stage in region.stages)

@@ -25,7 +25,7 @@ simple command it
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import SpecLibrary
@@ -38,8 +38,18 @@ from ..compiler.transactional import (
     execute_plan_transactional,
 )
 from ..distributed.retry import RetryPolicy
-from ..parser.ast_nodes import Command
+from ..parser.ast_nodes import Command, Pipeline, SimpleCommand, walk
 from ..parser.unparse import unparse
+from .frontend import (
+    NO_PARALLEL_STAGE,
+    NOT_CLASSIFIABLE,
+    NOT_FILE_BACKED,
+    expand_region,
+    pipeline_stages,
+    purity_reason,
+    stage_names,
+    static_verdict,
+)
 from .runtime_info import measure_input, probe_machine, region_input_files
 
 
@@ -56,6 +66,20 @@ class JitEvent:
     fault_failures: int = 0
     #: the degradation trail under faults, e.g. "8 -> 4 -> interpreter"
     degraded: str = ""
+
+
+class NodeInfo(NamedTuple):
+    """What the JIT needs of one candidate node that follows from the
+    AST alone, computed once per node instead of once per execution."""
+
+    #: the flat-pipeline stages (None: not a flat pipeline)
+    stages: Optional[list]
+    #: the unparsed node, as events and trace records name it
+    text: str
+    #: each stage's literal command name (None where it is dynamic)
+    names: tuple
+    #: the skip reason early expansion would give, when the AST fixes it
+    verdict: Optional[str] = None
 
 
 @dataclass
@@ -118,24 +142,45 @@ class JashOptimizer:
         self._dead: set[int] = set()
         self._cost_certs: dict[int, object] = {}
         self._programs: list = []  # keep analyzed ASTs alive (id-keyed certs)
+        #: NodeInfo per candidate node of the compiled programs, keyed
+        #: like the certificates; nodes parsed at run time (eval, trap)
+        #: are never stored, so the table never outgrows the scripts
+        self._nodes: dict[int, NodeInfo] = {}
         self.cert_hits = 0
         self.cert_misses = 0
+        #: early expansions performed (a witness: a static verdict or a
+        #: function-shadowed stage skips without expanding)
+        self.early_expansions = 0
 
     # -- the compile-once pass ------------------------------------------------
 
     def compile_program(self, program: Command, tracer=None, now: float = 0.0,
                         metrics=None, fs=None, cwd: str = "/"):
-        """Run the S16 whole-script analyzer and cache its certificates.
+        """Run the S16 whole-script analyzer and cache its certificates,
+        then fill the per-node table (:class:`NodeInfo`).
 
         Called by :class:`repro.shell.Shell` before execution (the same
         hook the AOT compiler uses).  With ``static_analysis=False``
-        this is a no-op and the engine behaves exactly as the pure JIT.
+        only the table is filled and the engine decides exactly as the
+        pure JIT.
         ``metrics``/``fs`` are optional: a metrics registry receives the
         ``analysis.absint.*`` counters, and a filesystem snapshot
         grounds the S20 volume domain.
         """
-        if not self.config.static_analysis:
-            return
+        self._programs.append(program)
+        if self.config.static_analysis:
+            self._analyze(program, tracer, now, metrics, fs, cwd)
+        for sub in walk(program):
+            if isinstance(sub, (Pipeline, SimpleCommand)) \
+                    and id(sub) not in self._nodes:
+                info = self._node_info(sub)
+                if info.stages is not None:
+                    info = info._replace(verdict=static_verdict(
+                        info.stages, self.config.library))
+                self._nodes[id(sub)] = info
+
+    def _analyze(self, program: Command, tracer, now: float, metrics,
+                 fs, cwd: str) -> None:
         from ..analysis import analyze_program
 
         result = analyze_program(
@@ -148,7 +193,6 @@ class JashOptimizer:
         if result.absint is not None:
             self._dead |= result.absint.dead
             self._cost_certs.update(result.absint.cost_certificates)
-        self._programs.append(program)
         if tracer is not None:
             tracer.instant("analysis", "analysis.run", now,
                            **result.stats())
@@ -166,16 +210,24 @@ class JashOptimizer:
             metrics.counter("analysis.absint.certs").inc(
                 stats["cost_certs"])
 
+    def _node_info(self, node: Command) -> NodeInfo:
+        stages = pipeline_stages(node)
+        cert = self._certs.get(id(node))
+        text = cert.node_text if cert is not None else unparse(node)
+        names = stage_names(stages) if stages is not None else ()
+        return NodeInfo(stages, text, names)
+
     # -- the hook -------------------------------------------------------------
 
     def try_execute(self, interp, proc, node: Command):
-        from .frontend import expand_region, pipeline_stages, purity_reason
-
         kernel = proc.kernel
         tracer = getattr(kernel, "tracer", None)
         metrics = getattr(kernel, "metrics", None)
-        text = unparse(node)
-        stages_ast = pipeline_stages(node)
+        info = self._nodes.get(id(node))
+        if info is None:  # parsed at run time: today's path, not stored
+            info = self._node_info(node)
+        text = info.text
+        stages_ast = info.stages
         if stages_ast is None:
             self._skip(text, "not a flat pipeline of simple commands",
                        tracer=tracer, proc=proc)
@@ -240,23 +292,34 @@ class JashOptimizer:
         # only when no certificate covered it)
         yield from proc.cpu(probe_cost)
 
+        # a stage naming a shell function runs the function, not the
+        # library command; functions come and go at run time, so this is
+        # checked on every call, never cached
+        functions = interp.state.functions
+        if functions and any(name in functions for name in info.names):
+            self._skip(text, NOT_CLASSIFIABLE, tracer=tracer, proc=proc)
+            return None
+        # the AST alone fixes the outcome of expansion + classification
+        if info.verdict is not None \
+                and not interp.state.options.get("nounset"):
+            self._skip(text, info.verdict, tracer=tracer, proc=proc)
+            return None
+
         # 2. early expansion with full runtime information
+        self.early_expansions += 1
         region = yield from expand_region(interp, proc, stages_ast,
                                           self.config.library)
         if region is None:
-            self._skip(text, "stages not classifiable as a dataflow region",
-                       tracer=tracer, proc=proc)
+            self._skip(text, NOT_CLASSIFIABLE, tracer=tracer, proc=proc)
             return None
         if not region.parallelizable:
-            self._skip(text, "no parallelizable stage",
-                       tracer=tracer, proc=proc)
+            self._skip(text, NO_PARALLEL_STAGE, tracer=tracer, proc=proc)
             return None
 
         # 3./4. probe the system
         input_files = region_input_files(region, proc.fs, interp.state.cwd)
         if input_files is None:
-            self._skip(text, "input is not file-backed (size unknown)",
-                       tracer=tracer, proc=proc)
+            self._skip(text, NOT_FILE_BACKED, tracer=tracer, proc=proc)
             return None
         input_bytes, avg_line, avg_token = measure_input(proc.fs, input_files)
         if input_bytes < self.config.optimizer.min_input_bytes:

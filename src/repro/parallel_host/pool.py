@@ -277,7 +277,10 @@ class WorkerPool:
 
     def wait_for(self, task_ids: list[int], deadline: float):
         """Block until every task finished or ``deadline`` (host clock,
-        ``time.monotonic``) passes.  Returns (results | None, failed)."""
+        ``time.monotonic``) passes.  Returns (results | None, failed).
+        Each task is waited on once: a finished wait hands its results
+        over and forgets the tasks, so the pool holds no result longer
+        than the region that asked for it."""
         pending = [t for t in task_ids
                    if t not in self._results and t not in self._failed]
         while pending:
@@ -290,9 +293,11 @@ class WorkerPool:
             pending = [t for t in task_ids
                        if t not in self._results and t not in self._failed]
         failed = {t for t in task_ids if t in self._failed}
+        results = [self._results.pop(t, None) for t in task_ids]
+        self._failed -= failed
         if failed:
             return None, failed
-        return [self._results[t] for t in task_ids], set()
+        return results, set()
 
 
 _GLOBAL_POOL: Optional[WorkerPool] = None

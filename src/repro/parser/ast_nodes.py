@@ -11,6 +11,7 @@ The node set follows the POSIX.1-2017 Shell Command Language grammar
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -137,6 +138,43 @@ class Word:
             else:  # pragma: no cover - guarded by is_literal
                 raise ValueError("word is not literal")
         return "".join(out)
+
+    @cached_property
+    def static_field(self) -> Optional[str]:
+        """The one field this word expands to in every shell state, or
+        None.  It is :meth:`literal_value` for a literal word that tilde
+        expansion, field splitting and pathname expansion cannot change:
+        no leading unquoted ``~``, no unquoted ``*`` or ``?``, and none
+        of the expander's marker characters.  An unquoted ``[`` is
+        allowed only in a word with no ``]``, ``/`` or ``\\``: it can then
+        only match a file of exactly its own name (``[``, the test
+        command, is the common case).  Computed once per (immutable)
+        node."""
+        if not self.parts or not self.is_literal():
+            return None
+        value = self.literal_value()
+        bracket = False
+        for part in self.parts:
+            if isinstance(part, Lit):
+                text = part.text
+                if "*" in text or "?" in text:
+                    return None
+                bracket = bracket or "[" in text
+        if bracket and ("]" in value or "/" in value or "\\" in value):
+            return None
+        first = self.parts[0]
+        if isinstance(first, Lit) and first.text.startswith("~"):
+            return None
+        if not value and all(isinstance(p, Lit) for p in self.parts):
+            return None  # an empty unquoted word expands to no field
+        if any(c in value for c in _MARKERS):
+            return None
+        return value
+
+
+#: characters the expander uses to mark quoting and field boundaries in
+#: its marked strings (repro.semantics.patterns / expansion)
+_MARKERS = "\x00\x01\x02\x03"
 
 
 # ---------------------------------------------------------------------------
@@ -298,79 +336,81 @@ Command = Union[
 COMPOUND_WITH_REDIRECTS = (Subshell, BraceGroup, If, While, For, Case)
 
 
+def _if_children(node: If) -> list:
+    out = [node.cond, node.then_body]
+    for cond, body in node.elifs:
+        out.append(cond)
+        out.append(body)
+    if node.else_body is not None:
+        out.append(node.else_body)
+    out.extend(node.redirects)
+    return out
+
+
+def _case_children(node: Case) -> list:
+    out: list = [node.word]
+    for item in node.items:
+        out.extend(item.patterns)
+        if item.body is not None:
+            out.append(item.body)
+    out.extend(node.redirects)
+    return out
+
+
+#: node type -> its AST children, in the order :func:`walk` visits them
+_CHILDREN = {
+    Word: lambda n: n.parts,
+    DoubleQuoted: lambda n: n.parts,
+    Param: lambda n: () if n.word is None else (n.word,),
+    CmdSub: lambda n: (n.command,),
+    ArithSub: lambda n: n.parts,
+    Redirect: lambda n: ((n.target,) if n.heredoc is None
+                         else (n.target, n.heredoc)),
+    Assign: lambda n: (n.word,),
+    SimpleCommand: lambda n: n.assigns + n.words + n.redirects,
+    Pipeline: lambda n: n.commands,
+    AndOr: lambda n: (n.left, n.right),
+    CommandList: lambda n: [item.command for item in n.items],
+    Subshell: lambda n: (n.body,) + n.redirects,
+    BraceGroup: lambda n: (n.body,) + n.redirects,
+    If: _if_children,
+    While: lambda n: (n.cond, n.body) + n.redirects,
+    For: lambda n: (n.words or ()) + (n.body,) + n.redirects,
+    Case: _case_children,
+    FuncDef: lambda n: (n.body,),
+}
+
+
+def _no_children(node: object) -> tuple:
+    return ()
+
+
+def _children_fn(cls: type):
+    """The children function for ``cls``, resolved once per type (a
+    subclass such as the parser's heredoc redirect walks like its base)."""
+    for base, fn in list(_CHILDREN.items()):
+        if issubclass(cls, base):
+            break
+    else:
+        fn = _no_children
+    _CHILDREN[cls] = fn
+    return fn
+
+
 def walk(node: object):
-    """Yield ``node`` and every AST descendant (commands, words, parts)."""
-    yield node
-    if isinstance(node, Word):
-        for part in node.parts:
-            yield from walk(part)
-    elif isinstance(node, DoubleQuoted):
-        for part in node.parts:
-            yield from walk(part)
-    elif isinstance(node, Param):
-        if node.word is not None:
-            yield from walk(node.word)
-    elif isinstance(node, CmdSub):
-        yield from walk(node.command)
-    elif isinstance(node, ArithSub):
-        for part in node.parts:
-            yield from walk(part)
-    elif isinstance(node, Redirect):
-        yield from walk(node.target)
-        if node.heredoc is not None:
-            yield from walk(node.heredoc)
-    elif isinstance(node, Assign):
-        yield from walk(node.word)
-    elif isinstance(node, SimpleCommand):
-        for assign in node.assigns:
-            yield from walk(assign)
-        for word in node.words:
-            yield from walk(word)
-        for redirect in node.redirects:
-            yield from walk(redirect)
-    elif isinstance(node, Pipeline):
-        for cmd in node.commands:
-            yield from walk(cmd)
-    elif isinstance(node, AndOr):
-        yield from walk(node.left)
-        yield from walk(node.right)
-    elif isinstance(node, CommandList):
-        for item in node.items:
-            yield from walk(item.command)
-    elif isinstance(node, (Subshell, BraceGroup)):
-        yield from walk(node.body)
-        for redirect in node.redirects:
-            yield from walk(redirect)
-    elif isinstance(node, If):
-        yield from walk(node.cond)
-        yield from walk(node.then_body)
-        for cond, body in node.elifs:
-            yield from walk(cond)
-            yield from walk(body)
-        if node.else_body is not None:
-            yield from walk(node.else_body)
-        for redirect in node.redirects:
-            yield from walk(redirect)
-    elif isinstance(node, While):
-        yield from walk(node.cond)
-        yield from walk(node.body)
-        for redirect in node.redirects:
-            yield from walk(redirect)
-    elif isinstance(node, For):
-        if node.words is not None:
-            for word in node.words:
-                yield from walk(word)
-        yield from walk(node.body)
-        for redirect in node.redirects:
-            yield from walk(redirect)
-    elif isinstance(node, Case):
-        yield from walk(node.word)
-        for item in node.items:
-            for pat in item.patterns:
-                yield from walk(pat)
-            if item.body is not None:
-                yield from walk(item.body)
-        for redirect in node.redirects:
-            yield from walk(redirect)
-    elif isinstance(node, FuncDef):
-        yield from walk(node.body)
+    """Yield ``node`` and every AST descendant (commands, words, parts)
+    in pre-order.  Iterative, with an explicit stack: deep scripts cost
+    no Python recursion and no generator chain per level."""
+    stack = [node]
+    pop = stack.pop
+    push = stack.extend
+    children = _CHILDREN
+    while stack:
+        node = pop()
+        yield node
+        fn = children.get(type(node))
+        if fn is None:
+            fn = _children_fn(type(node))
+        kids = fn(node)
+        if kids:
+            push(reversed(kids))

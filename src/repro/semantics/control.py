@@ -25,3 +25,8 @@ class ShellExit(Exception):
     def __init__(self, status: int):
         super().__init__(status)
         self.status = status
+
+
+class FuncNestLimit(Exception):
+    """Unwinds a function-call chain that hit the nesting limit back to
+    its outermost call (see ``Interpreter.call_function``)."""

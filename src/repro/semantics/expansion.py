@@ -453,9 +453,15 @@ def expand_word_single(interp, proc, word: Word):
 
 
 def expand_words(interp, proc, words):
-    """Expand a word sequence into an argv field list."""
+    """Expand a word sequence into an argv field list.  A word whose
+    expansion is fixed by its text (:attr:`Word.static_field`) is taken
+    as is, without the expansion machinery."""
     fields: list[str] = []
     for word in words:
+        text = word.static_field
+        if text is not None:
+            fields.append(text)
+            continue
         result = yield from expand_word(interp, proc, word)
         fields.extend(result)
     return fields

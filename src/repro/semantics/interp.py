@@ -40,7 +40,7 @@ from ..vos.errors import VosError
 from ..vos.handles import Collector, NullHandle, StringSource, make_pipe
 from ..vos.process import Process
 from .builtins import REGULAR_BUILTINS, SPECIAL_BUILTINS
-from .control import FuncReturn, LoopBreak, LoopContinue, ShellExit
+from .control import FuncNestLimit, FuncReturn, LoopBreak, LoopContinue, ShellExit
 from .expansion import (
     ExpansionError,
     _expand_parts,
@@ -51,12 +51,17 @@ from .expansion import (
 )
 from .state import ShellError, ShellState
 
+#: the deepest chain of nested function calls (bash's FUNCNEST, but
+#: fixed).  Each call nests the interpreter's generators, so an unbounded
+#: recursion would otherwise exhaust the host's Python stack.
+FUNC_NEST_MAX = 64
+
 
 class Interpreter:
     """Evaluates a parsed script against a ShellState inside a vOS."""
 
     def __init__(self, state: ShellState, optimizer=None,
-                 host_coord=None, stage_oracle=None):
+                 host_coord=None, stage_oracle=None, func_depth: int = 0):
         self.state = state
         self.optimizer = optimizer
         #: S21 host-pool coordinator (None when --jobs 1) and, in a
@@ -69,6 +74,9 @@ class Interpreter:
         self._read_buffers: dict[int, bytearray] = {}
         self.condition_depth = 0
         self._last_cmdsub_status = 0
+        #: active function calls, counting those of the parent shell when
+        #: this interpreter runs a subshell (``_outer_depth``)
+        self.func_depth = self._outer_depth = func_depth
 
     # -- top level ---------------------------------------------------------------
 
@@ -255,11 +263,12 @@ class Interpreter:
     def subshell_body(self, cmd: Command, state: Optional[ShellState] = None,
                       stage_oracle=None):
         forked = (state or self.state).fork()
+        depth = self.func_depth
 
         def body(child_proc: Process):
             child = Interpreter(forked, self.optimizer,
                                 host_coord=self.host_coord,
-                                stage_oracle=stage_oracle)
+                                stage_oracle=stage_oracle, func_depth=depth)
             child_proc.cwd = forked.cwd
             try:
                 status = yield from child.exec(cmd, child_proc)
@@ -492,10 +501,20 @@ class Interpreter:
 
     def call_function(self, name: str, args: list[str],
                       node: SimpleCommand, proc: Process):
+        if self.func_depth >= FUNC_NEST_MAX:
+            # like bash's FUNCNEST: the whole chain of calls is abandoned
+            # and the outermost call fails with status 1
+            yield from self.write_err(
+                proc, f"jash: {name}: maximum function nesting level "
+                      f"exceeded ({FUNC_NEST_MAX})")
+            if self.func_depth > self._outer_depth:
+                raise FuncNestLimit()
+            return 1
         body = self.state.functions[name]
         saved_positionals = self.state.positionals
         self.state.positionals = list(args)
         self._local_frames.append({})
+        self.func_depth += 1
         fd_saved = None
         try:
             fd_saved = yield from self.apply_redirects_local(node.redirects, proc)
@@ -503,7 +522,12 @@ class Interpreter:
                 status = yield from self.exec(body, proc)
             except FuncReturn as ret:
                 status = ret.status
+            except FuncNestLimit:
+                if self.func_depth > self._outer_depth + 1:
+                    raise
+                status = 1
         finally:
+            self.func_depth -= 1
             self.restore_fds(proc, fd_saved)
             frame = self._local_frames.pop()
             for var_name, prior in frame.items():

@@ -197,6 +197,22 @@ class TestFaultAndMetricsWitnesses:
         assert snaps[0] == snaps[1]
 
 
+class TestPoolHoldsNothing:
+    def test_results_are_handed_over_not_kept(self):
+        shell, result = run_once(SPELL, jobs=2)
+        assert result.status == 0
+        assert shell.host_coord.stats["oracle_hits"] > 0
+        pool = shell.host_coord.pool
+        assert pool._results == {}
+        assert pool._failed == set()
+
+    def test_function_shadowing_a_pooled_command_declines(self):
+        script = "tr() { echo hijacked; }; " + SPELL
+        shell, result = run_once(script, jobs=2)
+        assert result.stdout == b"hijacked\n"
+        assert shell.host_coord.stats["oracle_hits"] == 0
+
+
 class TestPoolUnit:
     def test_owns_rejects_paths_outside_scratch(self, tmp_path):
         pool = WorkerPool(PoolConfig(jobs=1))
